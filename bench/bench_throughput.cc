@@ -17,15 +17,13 @@
 //
 // A second sweep A/Bs the async read path (DESIGN.md §13): for each
 // simulated latency in --latencies, one single-threaded pass with
-// async off and one with --backend enabled (plus --prefetch-depth),
-// reporting the speedup and the overlap efficiency — the sum of
+// async off and one with --backend enabled, reporting the speedup and the overlap efficiency — the sum of
 // simulated read latency divided by wall time, i.e. how many reads
 // were in flight at once on average (1.0 = fully serialized reads).
 //
 // Usage: bench_throughput [--tiny] [--threads=1,2,4,8] [--queries=N]
 //                         [--read-latency-us=N] [--pool-pages=N]
 //                         [--latencies=50,150,500] [--backend=auto]
-//                         [--prefetch-depth=N]
 //                         [--out=BENCH_throughput.json]
 //
 // --tiny switches to a 65x65 dataset for CI smoke runs.
@@ -61,8 +59,6 @@ struct CliOptions {
   // Async backend for the A/B ("auto" resolves to uring when the
   // kernel has it, threadpool otherwise).
   std::string backend = "auto";
-  // Speculative prefetch depth during the async passes (0 = off).
-  int prefetch_depth = 8;
   std::string out = "BENCH_throughput.json";
 };
 
@@ -118,12 +114,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       }
     } else if (std::strncmp(arg, "--backend=", 10) == 0) {
       opts->backend = arg + 10;
-    } else if (std::strncmp(arg, "--prefetch-depth=", 17) == 0) {
-      opts->prefetch_depth = std::atoi(arg + 17);
-      if (opts->prefetch_depth < 0) {
-        std::fprintf(stderr, "bad --prefetch-depth: %s\n", arg + 17);
-        return false;
-      }
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       opts->out = arg + 6;
     } else {
@@ -131,7 +121,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
                    "unknown flag %s\nusage: bench_throughput [--tiny] "
                    "[--threads=1,2,4] [--queries=N] [--read-latency-us=N] "
                    "[--pool-pages=N] [--latencies=50,150,500] "
-                   "[--backend=auto|uring|threadpool] [--prefetch-depth=N] "
+                   "[--backend=auto|uring|threadpool] "
                    "[--out=FILE]\n",
                    arg);
       return false;
@@ -310,14 +300,13 @@ int Main(int argc, char** argv) {
     writer.Add("repack_base_run_pages_mean", ppr(base_all));
     writer.Add("repack_rp_run_pages_mean", ppr(rp_all));
 
-    // Mixed serving workload, cold, async+prefetch on: the per-class
+    // Mixed serving workload, cold, async on: the per-class
     // arms above isolate page counts; this arm measures what the
     // layout buys a disk-bound server — heap I/O *batches* per query.
     // Perspective and view queries issue many box fetches whose pages
     // the build-order layout scatters (short runs, one seek each)
-    // while the repacked layout coalesces them, and the cut-aware
-    // prefetch (DESIGN.md §13) turns the contiguity into overlapped
-    // reads. Headline gate: runs/query ratio, with qps as the
+    // while the repacked layout coalesces them into fewer, longer
+    // runs of one batched submission (DESIGN.md §13). Headline gate: runs/query ratio, with qps as the
     // end-to-end check.
     const std::vector<QueryRequest> mixed = MakeMixedWorkload(
         ds.bounds, ds.max_lod, opts.queries, /*seed=*/777,
@@ -327,12 +316,10 @@ int Main(int argc, char** argv) {
       env->disk().set_simulated_read_latency_micros(
           static_cast<uint32_t>(opts.read_latency_us));
       env->EnableAsync(opts.backend);
-      env->set_prefetch_depth(static_cast<uint32_t>(opts.prefetch_depth));
       DM_RETURN_NOT_OK(env->FlushAll());
       const IoStats io0 = env->stats();
       auto report_or = RunThroughput(st, mixed, 1);
       env->DisableAsync();
-      env->set_prefetch_depth(0);
       DM_RETURN_NOT_OK(report_or.status());
       const IoStats io1 = env->stats();
       const double nq = static_cast<double>(mixed.size());
@@ -395,7 +382,7 @@ int Main(int argc, char** argv) {
   }
 
   // Async I/O A/B: at each simulated latency, one single-threaded pass
-  // with async off, one with the async backend and prefetch on. The
+  // with async off, one with the async backend bound. The
   // sync pass pays (missing pages x latency) serially per query, so
   // overlap_efficiency — total simulated read latency over wall time —
   // is ~the mean number of reads in flight; >1 means the async path
@@ -407,13 +394,10 @@ int Main(int argc, char** argv) {
       env->disk().set_simulated_read_latency_micros(
           static_cast<uint32_t>(lat));
       env->DisableAsync();
-      env->set_prefetch_depth(0);
       auto sync_or = RunThroughput(store, workload, 1);
       actual_backend = env->EnableAsync(opts.backend);
-      env->set_prefetch_depth(static_cast<uint32_t>(opts.prefetch_depth));
       auto async_or = RunThroughput(store, workload, 1);
       env->DisableAsync();
-      env->set_prefetch_depth(0);
       if (!sync_or.ok() || !async_or.ok()) {
         std::fprintf(stderr, "async A/B (latency=%dus) failed: %s\n", lat,
                      (!sync_or.ok() ? sync_or : async_or).status()
@@ -432,11 +416,9 @@ int Main(int argc, char** argv) {
       std::printf(
           "async A/B latency=%dus backend=%s: sync=%.1f qps async=%.1f qps "
           "speedup=%.2fx overlap_eff=%.2f sync_p999=%.2fms "
-          "async_p999=%.2fms pf_hits=%lld pf_waste=%lld\n",
+          "async_p999=%.2fms\n",
           lat, actual_backend.c_str(), sr.qps, ar.qps, speedup, overlap_eff,
-          sr.p999_millis, ar.p999_millis,
-          static_cast<long long>(ar.prefetch_hits),
-          static_cast<long long>(ar.prefetch_waste));
+          sr.p999_millis, ar.p999_millis);
       const std::string prefix = "latency_us_" + std::to_string(lat) + "/";
       writer.Add(prefix + "sync_qps", sr.qps);
       writer.Add(prefix + "async_qps", ar.qps);
@@ -448,10 +430,6 @@ int Main(int argc, char** argv) {
                  static_cast<double>(sr.disk_reads));
       writer.Add(prefix + "async_disk_reads",
                  static_cast<double>(ar.disk_reads));
-      writer.Add(prefix + "prefetch_hits",
-                 static_cast<double>(ar.prefetch_hits));
-      writer.Add(prefix + "prefetch_waste",
-                 static_cast<double>(ar.prefetch_waste));
       writer.Add(prefix + "async_inflight_hwm",
                  static_cast<double>(ar.async_inflight_hwm));
       if (lat == opts.read_latency_us) {

@@ -79,13 +79,6 @@ struct QueryStats {
   int64_t range_queries = 0;    // index probes issued
   int64_t refinement_splits = 0;
   int64_t refinement_misses = 0;  // splits lacking a fetched child
-  /// Speculative-prefetch outcome during this query, read as pool-wide
-  /// deltas like `disk_accesses` (concurrent workers' prefetches may
-  /// leak into each other's counts). Hits are demand fetches served by
-  /// a previously prefetched frame; waste is prefetched pages evicted
-  /// unused. Both stay 0 with `DbOptions::prefetch_depth == 0`.
-  int64_t prefetch_hits = 0;
-  int64_t prefetch_waste = 0;
   /// Coalesced heap page runs this query issued through the pool
   /// (pool-wide deltas, like `disk_accesses`). Mean pages per run
   /// (fetch_run_pages / fetch_runs) measures how well the on-disk
@@ -228,6 +221,11 @@ class DmQueryProcessor {
   /// Resets per-query health/deadline state; every public entry point
   /// calls this first.
   void BeginQuery();
+
+  /// Fills the I/O fields of `result` (disk_accesses, fetch_runs,
+  /// fetch_run_pages, io_retries) from the source's counters at query
+  /// start (`io0`) and now — pool-wide deltas.
+  void SetIoDelta(const IoStats& io0, DmQueryResult* result) const;
 
   /// Runs one 3D range query and loads the named nodes into `nodes`
   /// (through the decoded-node cache when enabled). In degraded mode,

@@ -35,9 +35,9 @@ struct DmMeta {
   /// Record codec of the heap file (flat / per-record compressed / v6
   /// group blocks); every reader dispatches through DecodeDmRecord.
   DmCodec codec = DmCodec::kFlat;
-  /// Heap rewritten by RepackDmStore into LOD-band x Hilbert order;
-  /// the query layer prefetches per page run instead of a single
-  /// trailing window when this is set.
+  /// Heap rewritten by RepackDmStore into LOD-band x Hilbert order.
+  /// Recorded in the catalog so tools can tell the layouts apart; the
+  /// read path treats both layouts the same.
   bool repacked = false;
   /// Size of the global vertex-id space this store's records are drawn
   /// from. 0 (the default) means the store is complete: ids are dense

@@ -24,27 +24,19 @@ struct RTreeNodeExtent {
   uint16_t count = 0;
 };
 
-/// Disk-based R*-tree (Beckmann et al., SIGMOD 1990) over 3D boxes.
-/// 2D indexing uses degenerate boxes (lo[2] == hi[2] == 0). One node
-/// per page; entries are (Box, payload) where payload is a child page
-/// id in internal nodes and an opaque 64-bit value (typically a packed
-/// RecordId) in leaves.
+/// Disk-based packed R-tree over 3D boxes, built once by
+/// Sort-Tile-Recursive bulk load — the packed R-tree that the paper's
+/// Kamel-Faloutsos cost formula assumes. 2D indexing uses degenerate
+/// boxes (lo[2] == hi[2] == 0). One node per page; entries are
+/// (Box, payload) where payload is a child page id in internal nodes
+/// and an opaque 64-bit value (typically a packed RecordId) in leaves.
 ///
-/// Implements the full R* insertion heuristics: least-overlap
-/// ChooseSubtree at the leaf level, forced reinsert of the 30%
-/// farthest entries on first overflow per level, and the
-/// margin-driven topological split.
-///
-/// Concurrency: once loading is done the tree structure is frozen, so
-/// the const traversals (RangeQuery, RangeQueryEntries,
-/// CollectNodeExtents, VisitNodes, Height, RootBox) are safe from many
-/// threads; node pages are materialized through the thread-safe buffer
-/// pool. `Insert` is single-writer and must not overlap with readers.
+/// Concurrency: a tree never changes after BulkLoad, so every
+/// traversal (RangeQuery, RangeQueryEntries, CollectNodeExtents,
+/// VisitNodes, Height, RootBox) is safe from many threads; node pages
+/// are materialized through the thread-safe buffer pool.
 class RStarTree {
  public:
-  /// Creates an empty tree (root = empty leaf) in `env`.
-  static Result<RStarTree> Create(DbEnv* env);
-
   /// Opens an existing tree.
   static RStarTree Open(DbEnv* env, PageId root, int64_t size);
 
@@ -64,7 +56,7 @@ class RStarTree {
   static std::vector<size_t> StrOrder(const std::vector<Box>& boxes,
                                       uint32_t leaf_capacity,
                                       WorkerPool& pool);
-  /// Capacity used by BulkLoad leaves (== MaxEntries()).
+  /// Entries per node that BulkLoad packs (leaves and internal nodes).
   static uint32_t LeafCapacityFor(uint32_t page_size);
 
   /// Builds a packed tree from entries already arranged in StrOrder.
@@ -76,14 +68,16 @@ class RStarTree {
   /// Number of levels (1 = the root is a leaf).
   Result<int> Height() const;
 
-  Status Insert(const Box& box, uint64_t payload);
-
-  /// Collects payloads of all leaf entries whose box intersects
-  /// `query`.
+  /// Replaces `out` with the payloads of all leaf entries whose box
+  /// intersects `query`, in ascending order. The traversal runs level
+  /// by level: each wave's intersecting child pages are sorted,
+  /// coalesced into page runs and read as one BufferPool::FetchRuns
+  /// batch, so a query costs one device round trip per tree level.
   Status RangeQuery(const Box& query, std::vector<uint64_t>* out) const;
 
-  /// Streaming variant exposing entry boxes; callback may return false
-  /// to stop.
+  /// Depth-first streaming traversal exposing entry boxes, in entry
+  /// order; the callback may return false to stop early. The store's
+  /// cost-model sampler relies on this visit order.
   Status RangeQueryEntries(
       const Box& query,
       const std::function<bool(const Box&, uint64_t)>& callback) const;
@@ -115,55 +109,22 @@ class RStarTree {
 
   /// Decoded root node, cached on first use. Every traversal touches
   /// the root, so a buffer-starved pool would otherwise pay one device
-  /// round trip per query just to re-learn the fan-out. The tree is
-  /// frozen while readers run (Insert is single-writer and must not
-  /// overlap them), so the cache can only go stale across an Insert,
-  /// which invalidates it. Held behind a shared_ptr so tree handles
-  /// stay copyable and copies share one cache (they view one tree).
+  /// round trip per query just to re-learn the fan-out. The tree never
+  /// changes, so the cache never goes stale. Held behind a shared_ptr
+  /// so tree handles stay copyable and copies share one cache (they
+  /// view one tree).
   struct RootCache;
 
   RStarTree(DbEnv* env, PageId root);
-
-  uint32_t MaxEntries() const;
-  uint32_t MinEntries() const;
-
-  /// RangeQuery over the pool's async device: the traversal expands
-  /// level by level, fetching each wave's node pages (and finally
-  /// every intersecting leaf) as one batched submission — one device
-  /// round trip per tree level instead of one per node. Matches are
-  /// emitted in the serial traversal's visit order, so both paths
-  /// return identical payload sequences. Sibling leaves that barely
-  /// miss the query's LOD range feed the pool's speculative prefetcher
-  /// (DbOptions::prefetch_depth).
-  Status RangeQueryBatched(const Box& query, std::vector<uint64_t>* out) const;
 
   /// Returns the cached decoded root, reading it once on a miss.
   Result<std::shared_ptr<const Node>> CachedRoot() const;
 
   Result<Node> ReadNode(PageId id) const;
-  Status WriteNode(PageId id, const Node& node);
+  /// Allocates a page and writes `node` into it.
   Result<PageId> AllocNode(const Node& node);
 
-  /// Root-to-target path of page ids; `slots[i]` is the entry index of
-  /// path[i+1] inside path[i].
-  struct Path {
-    std::vector<PageId> pages;
-    std::vector<uint32_t> slots;
-  };
-  Result<Path> ChoosePath(const Box& box, uint16_t target_level) const;
-
-  /// Recomputes exact parent MBRs along the path, bottom-up.
-  Status AdjustPath(const Path& path);
-
-  /// Overflow at path.back(); splits or force-reinserts.
-  Status HandleOverflow(Path path, std::vector<bool>* reinserted);
-
-  Status InsertEntry(const Entry& entry, uint16_t target_level,
-                     std::vector<bool>* reinserted);
-
   static Box NodeBox(const Node& node);
-  static void SplitNode(const Node& node, uint32_t min_entries, Node* left,
-                        Node* right);
 
   DbEnv* env_;
   PageId root_;

@@ -251,7 +251,7 @@ std::string ThroughputReport::ToString() const {
                 "queue_p50=%.2fms queue_p99=%.2fms "
                 "exec_p50=%.2fms exec_p99=%.2fms "
                 "disk_reads=%lld failed=%lld shed=%lld degraded=%lld "
-                "io_retries=%lld pf_hits=%lld pf_waste=%lld "
+                "io_retries=%lld "
                 "async_subs=%lld async_reqs=%lld async_hwm=%lld",
                 threads, static_cast<long long>(queries), wall_millis, qps,
                 p50_millis, p99_millis, p999_millis, queue_p50_millis,
@@ -260,8 +260,6 @@ std::string ThroughputReport::ToString() const {
                 static_cast<long long>(failed), static_cast<long long>(shed),
                 static_cast<long long>(degraded),
                 static_cast<long long>(io_retries),
-                static_cast<long long>(prefetch_hits),
-                static_cast<long long>(prefetch_waste),
                 static_cast<long long>(async_submissions),
                 static_cast<long long>(async_requests),
                 static_cast<long long>(async_inflight_hwm));
@@ -359,8 +357,6 @@ Result<ThroughputReport> RunThroughput(
   const IoStats io1 = store->env()->stats();
   report.disk_reads = io1.disk_reads - io0.disk_reads;
   report.io_retries = io1.io_retries - io0.io_retries;
-  report.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
-  report.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
   if (async_dev != nullptr) {
     const AsyncIoStats async1 = async_dev->stats();
     report.async_submissions = async1.submissions - async0.submissions;
@@ -391,8 +387,6 @@ Result<ThroughputReport> RunThroughput(
   const IoStats io1 = source->io_stats();
   report.disk_reads = io1.disk_reads - io0.disk_reads;
   report.io_retries = io1.io_retries - io0.io_retries;
-  report.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
-  report.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
   return report;
 }
 

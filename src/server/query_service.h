@@ -211,9 +211,6 @@ struct ThroughputReport {
   int64_t shed = 0;
   int64_t degraded = 0;  // completed with a coarser-than-asked mesh
   int64_t io_retries = 0;  // transient I/O absorbed during the run
-  /// Speculative-prefetch outcome over the run (0 with prefetch off).
-  int64_t prefetch_hits = 0;
-  int64_t prefetch_waste = 0;
   /// Async device activity over the run (all 0 when async is off):
   /// batch submissions, read requests, and the in-flight high-water
   /// mark — how deep the batched read path actually drove the queue.

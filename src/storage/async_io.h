@@ -45,7 +45,7 @@ struct AsyncCompletion {
 /// in whatever order the device finishes them.
 ///
 /// Completion groups isolate concurrent consumers sharing one device
-/// (query workers, the pool's prefetcher): every staged read names a
+/// (query workers on one pool): every staged read names a
 /// group, and WaitOne/PollOne only deliver that group's completions
 /// while still pumping the device on behalf of everyone. A group is a
 /// cheap handle — open one per batched fetch, release it drained.

@@ -18,10 +18,6 @@ namespace {
 /// fails fast enough for the query deadline to degrade gracefully.
 constexpr int kMaxIoAttempts = 4;
 constexpr int64_t kIoBackoffBaseMicros = 100;
-/// Concurrent speculative reads the prefetcher keeps in flight; a
-/// prefetch finding every slot busy is dropped (speculation is
-/// advisory, never worth queueing for).
-constexpr size_t kPrefetchSlots = 8;
 }  // namespace
 
 PageGuard::PageGuard(BufferPool* pool, PageId id, uint8_t* data)
@@ -95,9 +91,6 @@ BufferPool::BufferPool(PageDevice* disk, uint32_t capacity_pages,
 }
 
 BufferPool::~BufferPool() {
-  // Unbind the async device first: drains in-flight prefetch reads so
-  // no completion lands in a dying slot buffer.
-  set_async_device(nullptr);
   // Best-effort write-back; errors at teardown are not recoverable.
   (void)FlushAll();
 }
@@ -117,9 +110,6 @@ IoStats BufferPool::stats() const {
   for (int i = 0; i < IoStats::kRunBuckets; ++i) {
     total.run_length_hist[i] = run_hist_[i].load(std::memory_order_relaxed);
   }
-  total.prefetch_reads = prefetch_reads_.load(std::memory_order_relaxed);
-  total.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  total.prefetch_waste = prefetch_waste_.load(std::memory_order_relaxed);
   return total;
 }
 
@@ -135,9 +125,6 @@ void BufferPool::ResetStats() {
   fetch_runs_.store(0, std::memory_order_relaxed);
   fetch_run_pages_.store(0, std::memory_order_relaxed);
   for (auto& b : run_hist_) b.store(0, std::memory_order_relaxed);
-  prefetch_reads_.store(0, std::memory_order_relaxed);
-  prefetch_hits_.store(0, std::memory_order_relaxed);
-  prefetch_waste_.store(0, std::memory_order_relaxed);
 }
 
 Status BufferPool::ReadWithRetry(PageId first, uint32_t n, uint8_t* out) {
@@ -250,19 +237,6 @@ void BufferPool::LruPushBack(Shard& s, uint32_t idx) {
   f.in_lru = true;
 }
 
-void BufferPool::LruPushFront(Shard& s, uint32_t idx) {
-  Frame& f = s.frames[idx];
-  f.lru_prev = kNoFrame;
-  f.lru_next = s.lru_head;
-  if (s.lru_head != kNoFrame) {
-    s.frames[s.lru_head].lru_prev = idx;
-  } else {
-    s.lru_tail = idx;
-  }
-  s.lru_head = idx;
-  f.in_lru = true;
-}
-
 void BufferPool::LruErase(Shard& s, uint32_t idx) {
   Frame& f = s.frames[idx];
   if (f.lru_prev != kNoFrame) {
@@ -294,10 +268,6 @@ Result<uint32_t> BufferPool::GetFreeFrameLocked(Shard& s) {
   LruErase(s, idx);
   s.evictions.fetch_add(1, std::memory_order_relaxed);
   Frame& f = s.frames[idx];
-  if (f.prefetched) {
-    f.prefetched = false;
-    prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-  }
   if (f.dirty) {
     DM_RETURN_NOT_OK(WriteWithStamp(s, f));
     f.dirty = false;
@@ -310,10 +280,6 @@ uint8_t* BufferPool::PinIfPresentLocked(Shard& s, PageId id) {
   const uint32_t idx = TableFind(s, id);
   if (idx == kNoFrame) return nullptr;
   Frame& f = s.frames[idx];
-  if (f.prefetched) {
-    f.prefetched = false;
-    prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
   if (f.pins == 0 && f.in_lru) {
     LruErase(s, idx);
   }
@@ -329,13 +295,11 @@ Result<uint8_t*> BufferPool::InstallLocked(Shard& s, PageId id,
   f.id = id;
   f.pins = 1;
   f.dirty = false;
-  f.prefetched = false;
   TableInsert(s, idx);
   return f.data.data();
 }
 
 Result<PageGuard> BufferPool::Fetch(PageId id) {
-  TryDrainPrefetch();
   Shard& s = ShardFor(id);
   MutexLock lock(s.mu);
   s.logical_fetches.fetch_add(1, std::memory_order_relaxed);
@@ -349,7 +313,6 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
   f.id = id;
   f.pins = 1;
   f.dirty = false;
-  f.prefetched = false;
   TableInsert(s, idx);
   return PageGuard(this, id, f.data.data());
 }
@@ -364,7 +327,6 @@ uint32_t BufferPool::MaxRunPages() const {
 
 Status BufferPool::FetchRun(PageId first, uint32_t n,
                             std::vector<PageGuard>* out) {
-  TryDrainPrefetch();
   DM_CHECK(out != nullptr) << "FetchRun into null output";
   DM_CHECK(n > 0 && n <= MaxRunPages())
       << "FetchRun of " << n << " pages exceeds the pin budget";
@@ -430,7 +392,6 @@ Result<PageGuard> BufferPool::NewPage() {
   f.id = id;
   f.pins = 1;
   f.dirty = true;
-  f.prefetched = false;
   TableInsert(s, idx);
   return PageGuard(this, id, f.data.data());
 }
@@ -456,9 +417,6 @@ void BufferPool::MarkDirty(PageId id) {
 }
 
 Status BufferPool::FlushAll() {
-  // Absorb in-flight speculation first: FlushAll's quiescence contract
-  // would otherwise race prefetch completions installing frames.
-  DrainPrefetchInner(/*block=*/true);
   for (const auto& sp : shards_) {
     Shard& s = *sp;
     MutexLock lock(s.mu);
@@ -470,10 +428,6 @@ Status BufferPool::FlushAll() {
         f.dirty = false;
       }
       if (f.pins == 0) {
-        if (f.prefetched) {
-          f.prefetched = false;
-          prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-        }
         if (f.in_lru) {
           LruErase(s, idx);
         }
@@ -486,17 +440,7 @@ Status BufferPool::FlushAll() {
   return Status::OK();
 }
 
-void BufferPool::set_async_device(AsyncPageDevice* dev) {
-  DrainPrefetchInner(/*block=*/true);
-  MutexLock lock(pf_mu_);
-  if (pf_group_ != 0) {
-    async_->ReleaseGroup(pf_group_);
-    pf_group_ = 0;
-  }
-  async_ = dev;
-}
-
-Status BufferPool::FetchRunsAsync(
+Status BufferPool::FetchRuns(
     const RunRequest* runs, size_t run_count,
     const std::function<void(size_t, Status, std::vector<PageGuard>*)>&
         on_run) {
@@ -512,7 +456,6 @@ Status BufferPool::FetchRunsAsync(
     }
     return Status::OK();
   }
-  TryDrainPrefetch();
 
   const uint32_t page_size = disk_->page_size();
   const uint32_t max_run = MaxRunPages();
@@ -616,23 +559,6 @@ Status BufferPool::FetchRunsAsync(
   };
 
   while (delivered < run_count) {
-    if (next_run < run_count && IoDeadline::Expired()) {
-      // Deadline-aware completion wait (DESIGN.md §16): fail every run
-      // not yet staged without touching the device. Their pages never
-      // entered the window, so they bypass deliver(); already-staged
-      // runs keep draining below (their buffers are owned by this
-      // frame, so the reads must be reaped either way).
-      for (size_t ri = next_run; ri < run_count; ++ri) {
-        std::vector<PageGuard> none;
-        on_run(ri, Status::DeadlineExceeded("fetch deadline expired with " +
-                                            std::to_string(run_count - ri) +
-                                            " runs unread"),
-               &none);
-        ++delivered;
-      }
-      next_run = run_count;
-      if (delivered == run_count) break;
-    }
     bool staged_any = false;
     while (next_run < run_count &&
            (window_pages == 0 ||
@@ -640,7 +566,7 @@ Status BufferPool::FetchRunsAsync(
       const size_t ri = next_run++;
       const RunRequest& rr = runs[ri];
       DM_CHECK(rr.n > 0 && rr.n <= max_run)
-          << "FetchRunsAsync run of " << rr.n
+          << "FetchRuns run of " << rr.n
           << " pages exceeds the pin budget";
       CountRun(rr.n);
       window_pages += rr.n;
@@ -658,6 +584,15 @@ Status BufferPool::FetchRunsAsync(
         } else {
           missing.push_back(i);
         }
+      }
+      // An expired deadline fails the run before it touches the device,
+      // as ReadWithRetry does on the path without a device; resident
+      // runs are still served.
+      if (!missing.empty() && IoDeadline::Expired()) {
+        st.status = Status::DeadlineExceeded(
+            "read deadline expired before page " +
+            std::to_string(rr.first + missing.front()));
+        missing.clear();
       }
       // Pass 2: stage each maximal missing sub-run (or each page when
       // slicing) against the async device.
@@ -686,153 +621,13 @@ Status BufferPool::FetchRunsAsync(
     if (staged_any) async_->SubmitStaged();
     if (delivered == run_count) break;
     DM_CHECK(inflight_reqs > 0)
-        << "FetchRunsAsync stalled with undelivered runs";
+        << "FetchRuns stalled with undelivered runs";
     AsyncCompletion c = async_->WaitOne(group);
     handle(c);
     while (async_->PollOne(group, &c)) handle(c);
   }
   async_->ReleaseGroup(group);
   return Status::OK();
-}
-
-void BufferPool::Prefetch(PageId first, uint32_t n) {
-  if (async_ == nullptr || n == 0) return;
-  n = std::min(n, MaxRunPages());
-  // Trim to the missing span; a fully resident run costs nothing.
-  uint32_t lo = n;
-  uint32_t hi = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    Shard& s = ShardFor(first + i);
-    MutexLock lock(s.mu);
-    if (TableFind(s, first + i) == kNoFrame) {
-      lo = std::min(lo, i);
-      hi = i + 1;
-    }
-  }
-  if (lo >= hi) return;
-  first += lo;
-  n = hi - lo;
-  MutexLock lock(pf_mu_);
-  if (async_ == nullptr) return;
-  if (pf_group_ == 0) {
-    pf_group_ = async_->NewGroup();
-    pf_slots_.resize(kPrefetchSlots);
-  }
-  size_t slot_idx = pf_slots_.size();
-  for (size_t i = 0; i < pf_slots_.size(); ++i) {
-    if (!pf_slots_[i].busy) {
-      slot_idx = i;
-      break;
-    }
-  }
-  if (slot_idx == pf_slots_.size()) return;  // saturated: drop, advisory
-  PrefetchSlot& slot = pf_slots_[slot_idx];
-  slot.first = first;
-  slot.n = n;
-  slot.busy = true;
-  slot.buf.resize(static_cast<size_t>(n) * disk_->page_size());
-  async_->StageRead(pf_group_, first, n, slot.buf.data(),
-                    static_cast<uint64_t>(slot_idx));
-  async_->SubmitStaged();
-  ++pf_inflight_;
-  prefetch_reads_.fetch_add(n, std::memory_order_relaxed);
-  pf_active_.store(true, std::memory_order_relaxed);
-}
-
-void BufferPool::DrainPrefetch() { DrainPrefetchInner(/*block=*/true); }
-
-void BufferPool::DrainPrefetchInner(bool block) {
-  MutexLock lock(pf_mu_);
-  DrainLoopLocked(block);
-}
-
-void BufferPool::TryDrainPrefetch() {
-  if (!pf_active_.load(std::memory_order_relaxed)) return;
-  if (!pf_mu_.try_lock()) return;  // someone else is draining
-  DrainLoopLocked(/*block=*/false);
-  pf_mu_.unlock();
-}
-
-void BufferPool::DrainLoopLocked(bool block) {
-  if (async_ == nullptr || pf_group_ == 0) return;
-  AsyncCompletion c;
-  while (pf_inflight_ > 0) {
-    if (block) {
-      c = async_->WaitOne(pf_group_);
-    } else if (!async_->PollOne(pf_group_, &c)) {
-      return;
-    }
-    --pf_inflight_;
-    PrefetchSlot& slot = pf_slots_[static_cast<size_t>(c.user_data)];
-    InstallPrefetched(slot, c.status);
-    slot.busy = false;
-  }
-  pf_active_.store(false, std::memory_order_relaxed);
-}
-
-void BufferPool::InstallPrefetched(const PrefetchSlot& slot,
-                                   const Status& st) {
-  if (!st.ok()) {
-    // A failed speculative read is pure waste; demand fetches will
-    // re-read and surface the error if it persists.
-    prefetch_waste_.fetch_add(slot.n, std::memory_order_relaxed);
-    return;
-  }
-  const uint32_t page_size = disk_->page_size();
-  for (uint32_t i = 0; i < slot.n; ++i) {
-    const PageId id = slot.first + i;
-    const uint8_t* data = slot.buf.data() + static_cast<size_t>(i) * page_size;
-    if (verify_checksums_) {
-      const Status v = VerifyPageTrailer(data, page_size, id);
-      if (!v.ok()) {
-        // Count the corruption (the zero-silent-escape audit sums
-        // corrupt_pages) and drop the page; the demand fetch that
-        // would have hit it re-reads and reports.
-        corrupt_pages_.fetch_add(1, std::memory_order_relaxed);
-        prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-    }
-    Shard& s = ShardFor(id);
-    MutexLock lock(s.mu);
-    if (TableFind(s, id) != kNoFrame) {
-      // A demand fetch beat us to it.
-      prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // Low-priority frame claim: free frames, else another unused
-    // prefetch (coldest first) — never a demand-fetched frame.
-    uint32_t idx = kNoFrame;
-    if (!s.free_list.empty()) {
-      idx = s.free_list.back();
-      s.free_list.pop_back();
-    } else {
-      for (uint32_t v = s.lru_head; v != kNoFrame; v = s.frames[v].lru_next) {
-        if (s.frames[v].prefetched) {
-          idx = v;
-          break;
-        }
-      }
-      if (idx != kNoFrame) {
-        prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-        s.frames[idx].prefetched = false;
-        LruErase(s, idx);
-        TableErase(s, idx);
-      }
-    }
-    if (idx == kNoFrame) {
-      prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Frame& f = s.frames[idx];
-    std::copy(data, data + page_size, f.data.begin());
-    f.id = id;
-    f.pins = 0;
-    f.dirty = false;
-    f.prefetched = true;
-    TableInsert(s, idx);
-    LruPushFront(s, idx);
-  }
 }
 
 Status BufferPool::FlushDirty() {

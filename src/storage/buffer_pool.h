@@ -37,17 +37,7 @@ struct IoStats {
   /// Pages whose trailer failed checksum verification on fetch. Each
   /// one surfaced as Status::Corruption naming the page.
   int64_t corrupt_pages = 0;
-  /// Pages read speculatively by the prefetcher. Deliberately not part
-  /// of `disk_reads`, which stays the paper's demand-fetch metric.
-  int64_t prefetch_reads = 0;
-  /// Prefetched pages later pinned by a demand fetch — the prediction
-  /// paid off.
-  int64_t prefetch_hits = 0;
-  /// Prefetched pages dropped unused (evicted, flushed, redundant with
-  /// a resident page, or never installed). hits + waste converges to
-  /// prefetch_reads as the pool quiesces.
-  int64_t prefetch_waste = 0;
-  /// Coalesced page runs requested through FetchRun / FetchRunsAsync,
+  /// Coalesced page runs requested through FetchRun / FetchRuns,
   /// and the pages they covered. mean pages-per-run
   /// (fetch_run_pages / fetch_runs) measures on-disk layout locality
   /// directly: the repacked layout exists to make this number grow.
@@ -171,54 +161,41 @@ class BufferPool {
   /// Largest run FetchRun accepts without risking frame exhaustion.
   uint32_t MaxRunPages() const;
 
-  /// Binds (or unbinds, with nullptr) an async device for batched
-  /// fetches and prefetch. The device must read through the same
-  /// PageDevice chain as the pool. Requires quiescence — set it
-  /// between query batches, not under load. Pending prefetches are
-  /// drained first.
-  void set_async_device(AsyncPageDevice* dev);
+  /// Binds (or unbinds, with nullptr) the async device FetchRuns
+  /// submits through. The device must read through the same PageDevice
+  /// chain as the pool. Requires quiescence — set it between query
+  /// batches, not under load.
+  void set_async_device(AsyncPageDevice* dev) { async_ = dev; }
   AsyncPageDevice* async_device() const { return async_; }
 
-  /// One page run for FetchRunsAsync: pages [first, first + n),
+  /// One page run for FetchRuns: pages [first, first + n),
   /// n in [1, MaxRunPages()].
   struct RunRequest {
     PageId first = 0;
     uint32_t n = 0;
   };
 
-  /// Batched, overlapped FetchRun over many runs: resident pages are
-  /// pinned up front, every missing page of every run is staged on the
-  /// async device and submitted in batched form, and `on_run(run_index,
-  /// status, guards)` fires as each run's last page completes —
-  /// completion order, not index order (fully resident runs deliver
-  /// immediately). Guards arrive in ascending page order within the
-  /// run; on failure the run's status is the first error and `guards`
-  /// is empty. Accounting matches FetchRun exactly: one logical fetch
-  /// per page, one disk read per miss, transient completions retried
-  /// with the same bounded backoff, every page trailer verified.
+  /// The batched read API every index and heap read path uses: pins
+  /// many runs and hands each to `on_run(run_index, status, guards)`.
+  /// Guards arrive in ascending page order within the run; on failure
+  /// the run's status is the first error and `guards` is empty.
+  /// Accounting matches FetchRun exactly: one logical fetch per page,
+  /// one disk read per miss, transient failures retried with the same
+  /// bounded backoff, every page trailer verified.
   ///
-  /// Runs are windowed so simultaneous pins stay bounded: the callback
-  /// must drop (or take ownership and promptly release) the guards, and
-  /// must not call back into the pool. Without a bound async device
-  /// this degrades to sequential FetchRun calls in index order.
-  Status FetchRunsAsync(
+  /// This is the one place that knows whether an async device is
+  /// bound. Without one, each run is a FetchRun call, delivered in
+  /// index order. With one, resident pages are pinned up front, every
+  /// missing page of every run is staged on the device and submitted
+  /// in batched form, and runs deliver in completion order as their
+  /// last page lands (fully resident runs deliver immediately). Runs
+  /// are windowed so simultaneous pins stay bounded: the callback must
+  /// drop (or take ownership and promptly release) the guards, and
+  /// must not call back into the pool.
+  Status FetchRuns(
       const RunRequest* runs, size_t run_count,
       const std::function<void(size_t, Status, std::vector<PageGuard>*)>&
           on_run);
-
-  /// Speculatively reads pages [first, first + n) at low priority:
-  /// never blocks, never fails, never evicts demand-fetched frames
-  /// (prefetched pages install only into free frames or over other
-  /// unused prefetches, at the cold end of the LRU). Dropped silently
-  /// when no async device is bound, the slots are busy, or the run is
-  /// resident. Completions are absorbed opportunistically by later
-  /// fetches; hits and waste land in IoStats.
-  void Prefetch(PageId first, uint32_t n);
-
-  /// Blocks until every in-flight prefetch completed and installed.
-  /// Required before teardown of the async device and implied by
-  /// FlushAll.
-  void DrainPrefetch();
 
   /// Allocates a fresh zeroed page and returns it pinned and dirty.
   Result<PageGuard> NewPage();
@@ -257,10 +234,6 @@ class BufferPool {
     uint32_t hash_next = kNoFrame;
     // True while the frame is installed in the page table under `id`.
     bool mapped = false;
-    // Installed by the prefetcher and not yet touched by a demand
-    // fetch. Cleared (counting a hit) on first pin; still set when the
-    // frame dies counts waste.
-    bool prefetched = false;
   };
 
   /// One independent sub-pool. All mutable state is guarded by `mu`
@@ -307,10 +280,6 @@ class BufferPool {
   void MarkDirty(PageId id);
   /// Intrusive-LRU helpers; f.in_lru must be consistent.
   static void LruPushBack(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
-  /// Cold-end insertion: the frame becomes the next eviction victim.
-  /// Prefetched pages enter here so speculation never displaces the
-  /// working set for long.
-  static void LruPushFront(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
   static void LruErase(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
   /// Intrusive page-table helpers.
   static uint32_t BucketFor(const Shard& s, PageId id) DM_REQUIRES(s.mu) {
@@ -345,31 +314,6 @@ class BufferPool {
   Result<uint8_t*> InstallLocked(Shard& s, PageId id, const uint8_t* data)
       DM_REQUIRES(s.mu);
 
-  /// One in-flight speculative read: its own scratch buffer, reused
-  /// across prefetches. Fixed slot count bounds speculative memory and
-  /// queue depth; a prefetch finding no free slot is dropped.
-  struct PrefetchSlot {
-    PageId first = 0;
-    uint32_t n = 0;
-    bool busy = false;
-    std::vector<uint8_t> buf;
-  };
-
-  /// Collects finished prefetch completions and installs their pages.
-  /// Blocking mode waits for all in-flight prefetches. Lock order:
-  /// pf_mu_ before any shard mu, never the reverse (fetch paths drain
-  /// before touching shards).
-  void DrainPrefetchInner(bool block);
-  /// Non-blocking best-effort drain for fetch entry points: one relaxed
-  /// atomic probe when prefetch is idle; skips if another thread holds
-  /// pf_mu_.
-  void TryDrainPrefetch();
-  void DrainLoopLocked(bool block) DM_REQUIRES(pf_mu_);
-  /// Installs one completed prefetch run into the pool (unpinned, cold
-  /// LRU end). `st` is the completion status. Called under pf_mu_
-  /// (slot buffers are guarded); takes shard locks inside.
-  void InstallPrefetched(const PrefetchSlot& slot, const Status& st);
-
   PageDevice* disk_;
   uint32_t capacity_;
   bool verify_checksums_ = true;
@@ -378,10 +322,9 @@ class BufferPool {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Run-length accounting (IoStats::fetch_runs / fetch_run_pages /
-  /// run_length_hist). Counted once per staged run: at FetchRun entry
-  /// and per RunRequest on the FetchRunsAsync async path (the
-  /// no-device fallback delegates to FetchRun, so it is not counted
-  /// twice).
+  /// run_length_hist). Counted once per run: at FetchRun entry and
+  /// per RunRequest on FetchRuns' async path (without a device
+  /// FetchRuns delegates to FetchRun, so it is not counted twice).
   void CountRun(uint32_t n) {
     fetch_runs_.fetch_add(1, std::memory_order_relaxed);
     fetch_run_pages_.fetch_add(n, std::memory_order_relaxed);
@@ -392,17 +335,6 @@ class BufferPool {
   std::atomic<int64_t> fetch_runs_{0};
   std::atomic<int64_t> fetch_run_pages_{0};
   std::atomic<int64_t> run_hist_[IoStats::kRunBuckets] = {};
-  std::atomic<int64_t> prefetch_reads_{0};
-  std::atomic<int64_t> prefetch_hits_{0};
-  std::atomic<int64_t> prefetch_waste_{0};
-  /// True while any prefetch is in flight — lets the fetch hot path
-  /// skip the drain probe (and its lock) entirely when prefetch is
-  /// idle or unused.
-  std::atomic<bool> pf_active_{false};
-  Mutex pf_mu_;
-  uint64_t pf_group_ DM_GUARDED_BY(pf_mu_) = 0;
-  std::vector<PrefetchSlot> pf_slots_ DM_GUARDED_BY(pf_mu_);
-  int pf_inflight_ DM_GUARDED_BY(pf_mu_) = 0;
 };
 
 }  // namespace dm

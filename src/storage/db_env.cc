@@ -49,7 +49,7 @@ Result<std::unique_ptr<DbEnv>> DbEnv::Open(const std::string& path,
 }
 
 const char* DbEnv::EnableAsync(const std::string& backend, int io_threads) {
-  pool_->set_async_device(nullptr);  // drains prefetch, unbinds
+  pool_->set_async_device(nullptr);
   async_.reset();
   if (backend == "off" || backend.empty()) return "off";
   async_ = CreateAsyncPageDevice(read_chain(), backend, io_threads);

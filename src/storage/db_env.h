@@ -53,11 +53,6 @@ struct DbOptions {
   /// 150 µs simulated latency a single query keeps ~a dozen 1-page
   /// reads in flight, so the default is deliberately wider than cores.
   int async_io_threads = 0;
-  /// Cut-aware speculative prefetch depth: how many predicted pages
-  /// (sibling R*-tree leaves, adjacent LOD-band heap pages) a query may
-  /// stage as low-priority reads. 0 = off (default), so fault-injection
-  /// op schedules and paper disk-read counts stay bit-identical.
-  uint32_t prefetch_depth = 0;
 };
 
 /// One database: a single page file shared by every table and index of
@@ -83,10 +78,6 @@ class DbEnv {
   /// The options this environment was opened with (layers above storage
   /// read their knobs — e.g. node_cache_bytes — from here).
   const DbOptions& options() const { return options_; }
-
-  /// Runtime override of DbOptions::prefetch_depth (query layers read
-  /// the knob per query, so benches flip it between A/B phases).
-  void set_prefetch_depth(uint32_t depth) { options_.prefetch_depth = depth; }
 
   /// The async device the pool reads through, or nullptr when async
   /// I/O is off.
@@ -132,9 +123,8 @@ class DbEnv {
 
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<FaultInjectingDevice> fault_;  // may be null
-  // Declared before pool_ so the pool is destroyed first: its
-  // destructor drains outstanding prefetch reads through this device
-  // and unbinds before the device itself dies.
+  // Declared before pool_ so the pool (which holds a non-owning
+  // pointer to it) is destroyed first.
   std::unique_ptr<AsyncPageDevice> async_;  // may be null
   std::unique_ptr<BufferPool> pool_;
   DbOptions options_;

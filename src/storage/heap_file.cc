@@ -239,68 +239,6 @@ Status HeapFile::Get(RecordId rid, std::vector<uint8_t>* out) const {
   return Status::OK();
 }
 
-Status HeapFile::GetMany(
-    const std::vector<RecordId>& rids,
-    const std::function<Status(RecordId, const uint8_t*, uint32_t)>& callback)
-    const {
-  return GetMany(rids, callback, nullptr);
-}
-
-Status HeapFile::GetMany(
-    const std::vector<RecordId>& rids,
-    const std::function<Status(RecordId, const uint8_t*, uint32_t)>& callback,
-    std::vector<RecordFetchFailure>* failures) const {
-  const uint32_t max_run = env_->pool().MaxRunPages();
-  size_t i = 0;
-  while (i < rids.size()) {
-    // Grow a run of consecutive distinct pages, capped by the pool's
-    // pin budget.
-    const PageId first = rids[i].page;
-    PageId last = first;
-    uint32_t npages = 1;
-    size_t j = i + 1;
-    for (; j < rids.size(); ++j) {
-      DM_DCHECK(rids[j - 1].Pack() <= rids[j].Pack())
-          << "GetMany requires rids sorted by (page, slot)";
-      const PageId p = rids[j].page;
-      if (p == last) continue;
-      if (p == last + 1 && npages < max_run) {
-        last = p;
-        ++npages;
-        continue;
-      }
-      break;
-    }
-    std::vector<PageGuard> guards;
-    const Status run_st = env_->pool().FetchRun(first, npages, &guards);
-    if (!run_st.ok()) {
-      if (failures == nullptr) return run_st;
-      DM_RETURN_NOT_OK(RefetchRunByPage(rids, i, j, callback, failures));
-      i = j;
-      continue;
-    }
-    for (size_t k = i; k < j; ++k) {
-      const RecordId rid = rids[k];
-      const uint8_t* data = nullptr;
-      uint16_t len = 0;
-      const Status st = LocateSlot(guards[rid.page - first].data(),
-                                   env_->page_size(), rid.page, rid.slot,
-                                   &data, &len);
-      if (!st.ok()) {
-        if (failures == nullptr) return st;
-        failures->push_back({rid, st});
-        continue;
-      }
-      DM_RETURN_NOT_OK(callback(rid, data, len));
-    }
-    // Release pins in ascending page order so the LRU ends up exactly
-    // as a sequence of per-record Get calls would have left it.
-    for (auto& g : guards) g.Release();
-    i = j;
-  }
-  return Status::OK();
-}
-
 Status HeapFile::RefetchRunByPage(
     const std::vector<RecordId>& rids, size_t begin, size_t end,
     const std::function<Status(RecordId, const uint8_t*, uint32_t)>& callback,
@@ -336,16 +274,12 @@ Status HeapFile::RefetchRunByPage(
   return Status::OK();
 }
 
-Status HeapFile::GetManyOverlapped(
+Status HeapFile::GetMany(
     const std::vector<RecordId>& rids,
     const std::function<Status(RecordId, const uint8_t*, uint32_t)>& callback,
     std::vector<RecordFetchFailure>* failures) const {
-  if (env_->pool().async_device() == nullptr) {
-    return GetMany(rids, callback, failures);
-  }
-  // Grow the same coalesced page runs GetMany would fetch one by one,
-  // but collect them all first so FetchRunsAsync can submit the whole
-  // batch at once.
+  // Grow runs of consecutive distinct pages, capped by the pool's pin
+  // budget; all of them go to FetchRuns as one batch.
   struct Span {
     size_t begin;
     size_t end;  // rid index range served by this run
@@ -361,7 +295,7 @@ Status HeapFile::GetManyOverlapped(
     size_t j = i + 1;
     for (; j < rids.size(); ++j) {
       DM_DCHECK(rids[j - 1].Pack() <= rids[j].Pack())
-          << "GetManyOverlapped requires rids sorted by (page, slot)";
+          << "GetMany requires rids sorted by (page, slot)";
       const PageId p = rids[j].page;
       if (p == last) continue;
       if (p == last + 1 && npages < max_run) {
@@ -377,16 +311,20 @@ Status HeapFile::GetManyOverlapped(
   }
 
   Status cb_status;  // first fatal error (callback or strict-mode run)
-  // Failed runs fall back to per-page fetches, but not from inside the
-  // completion callback (it must not re-enter the pool) — queue them
-  // for a synchronous pass after the batch drains.
-  std::vector<std::pair<size_t, Status>> failed_runs;
-  DM_RETURN_NOT_OK(env_->pool().FetchRunsAsync(
+  // Tolerant mode re-fetches failed runs page by page, but not from
+  // inside the completion callback (it must not re-enter the pool) —
+  // they wait for a second pass after the batch drains.
+  std::vector<size_t> failed_runs;
+  DM_RETURN_NOT_OK(env_->pool().FetchRuns(
       runs.data(), runs.size(),
       [&](size_t ri, Status run_st, std::vector<PageGuard>* guards) {
         if (!cb_status.ok()) return;  // fatal: just drain completions
         if (!run_st.ok()) {
-          failed_runs.emplace_back(ri, std::move(run_st));
+          if (failures == nullptr) {
+            cb_status = std::move(run_st);
+          } else {
+            failed_runs.push_back(ri);
+          }
           return;
         }
         const PageId first = runs[ri].first;
@@ -411,13 +349,14 @@ Status HeapFile::GetManyOverlapped(
             return;
           }
         }
+        // Release pins in ascending page order so the LRU ends up
+        // exactly as a sequence of per-record Get calls would leave it.
+        for (PageGuard& g : *guards) g.Release();
       }));
   DM_RETURN_NOT_OK(cb_status);
-  for (const auto& [ri, run_st] : failed_runs) {
-    if (failures == nullptr) return run_st;
-    DM_RETURN_NOT_OK(
-        RefetchRunByPage(rids, spans[ri].begin, spans[ri].end, callback,
-                         failures));
+  for (const size_t ri : failed_runs) {
+    DM_RETURN_NOT_OK(RefetchRunByPage(rids, spans[ri].begin, spans[ri].end,
+                                      callback, failures));
   }
   return Status::OK();
 }

@@ -90,44 +90,26 @@ class HeapFile {
 
   /// Batch point lookup: `rids` must be sorted ascending by
   /// (page, slot) — the order `RecordId::Pack` sorts in. Runs of
-  /// adjacent heap pages are pinned together and their misses
-  /// coalesced into single scatter-gather disk reads
-  /// (DiskManager::ReadPages), cutting syscalls on large fetch cubes.
+  /// adjacent heap pages coalesce into page runs, and all runs go to
+  /// BufferPool::FetchRuns as one batch, so decoding a completed run
+  /// overlaps the reads still in flight when an async device is bound.
   /// Disk-read accounting matches per-record Get calls exactly. The
-  /// callback sees each record's bytes in `rids` order.
-  Status GetMany(
-      const std::vector<RecordId>& rids,
-      const std::function<Status(RecordId, const uint8_t*, uint32_t)>&
-          callback) const;
-
-  /// Tolerant batch fetch: like GetMany, but an unreadable or corrupt
-  /// page fails only the records on it. When a coalesced run fails,
-  /// the run is re-fetched page by page so one bad sector cannot sink
-  /// its neighbours; each lost record lands in `failures` with the
-  /// Status that killed it, and the overall call still returns OK.
-  /// Callback errors (the caller's own decode logic) stay fatal.
+  /// callback sees each record's bytes run by run, in rid order within
+  /// a run; runs arrive in index order without an async device and in
+  /// completion order with one.
+  ///
+  /// With `failures == nullptr` the first error is fatal. Otherwise an
+  /// unreadable or corrupt page fails only the records on it: a failed
+  /// run is re-fetched page by page after the batch drains, so one bad
+  /// sector cannot sink its neighbours, each lost record lands in
+  /// `failures` with the Status that killed it, and the call still
+  /// returns OK. Callback errors (the caller's own decode logic) stay
+  /// fatal either way.
   Status GetMany(
       const std::vector<RecordId>& rids,
       const std::function<Status(RecordId, const uint8_t*, uint32_t)>&
           callback,
-      std::vector<RecordFetchFailure>* failures) const;
-
-  /// Overlapped tolerant batch fetch: the same contract as tolerant
-  /// GetMany — identical record→callback mapping, failure tolerance,
-  /// and disk-read accounting — except delivery order: every coalesced
-  /// page run is staged on the pool's async device in one batched
-  /// submission and records arrive run by run in completion order
-  /// (rid order within each run), so decoding the first completed run
-  /// overlaps the reads still in flight. Runs that fail are re-fetched
-  /// page by page after the batch drains, so their surviving records
-  /// arrive last. Falls back to GetMany when the pool has no async
-  /// device. Pass `failures == nullptr` for the strict (first error is
-  /// fatal) form.
-  Status GetManyOverlapped(
-      const std::vector<RecordId>& rids,
-      const std::function<Status(RecordId, const uint8_t*, uint32_t)>&
-          callback,
-      std::vector<RecordFetchFailure>* failures) const;
+      std::vector<RecordFetchFailure>* failures = nullptr) const;
 
   /// Full scan in storage order. The callback may return false to stop.
   Status Scan(const std::function<bool(RecordId, const uint8_t*, uint32_t)>&

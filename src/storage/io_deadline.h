@@ -11,7 +11,7 @@ namespace dm {
 /// The query layer arms a deadline before descending into storage;
 /// every blocking storage wait — the synchronous retry loop in
 /// BufferPool::ReadWithRetry and the completion drain in
-/// FetchRunsAsync — polls it and gives up with kDeadlineExceeded
+/// BufferPool::FetchRuns — polls it and gives up with kDeadlineExceeded
 /// instead of holding a worker past its budget. Thread-local rather
 /// than threaded through every signature because the deadline crosses
 /// *seven* layers (router → processor → store → heap → pool → async

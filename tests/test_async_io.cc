@@ -1,7 +1,7 @@
 // Async page I/O (DESIGN.md §13): batched submission, backend parity,
-// per-completion fault handling, prefetch accounting, and the promise
-// that matters most — queries through the async read path return
-// geometry byte-identical to the synchronous seed path.
+// per-completion fault handling, and the promise that matters most —
+// queries through an async device return geometry byte-identical to,
+// and read exactly the pages of, the same read path without one.
 //
 // Every pool-level test runs once per backend ("threadpool" always;
 // "uring" when the kernel supports it), so CI exercises both with one
@@ -135,7 +135,7 @@ TEST_P(AsyncIoTest, BatchedRunsDeliverOnceInOrderWithSyncParity) {
   for (int iter = 0; iter < 20; ++iter) {
     ASSERT_TRUE(pool_->FlushAll().ok());
     std::vector<int> seen(runs.size(), 0);
-    const Status st = pool_->FetchRunsAsync(
+    const Status st = pool_->FetchRuns(
         runs.data(), runs.size(),
         [&](size_t ri, Status s, std::vector<PageGuard>* guards) {
           ASSERT_TRUE(s.ok()) << s.ToString();
@@ -168,7 +168,7 @@ TEST_P(AsyncIoTest, SubmitsOneBatchAndCountsLikeSyncPath) {
   pool_->ResetStats();
   const std::vector<BufferPool::RunRequest> runs = {{0, 4}, {8, 4}, {16, 4}};
   auto fetch = [&] {
-    return pool_->FetchRunsAsync(
+    return pool_->FetchRuns(
         runs.data(), runs.size(),
         [&](size_t ri, Status s, std::vector<PageGuard>* guards) {
           ASSERT_TRUE(s.ok()) << "run " << ri << ": " << s.ToString();
@@ -203,7 +203,7 @@ TEST_P(AsyncIoTest, SimulatedLatencyOverlapsReads) {
   ASSERT_TRUE(pool_->FlushAll().ok());
   device_->ResetStats();
   const BufferPool::RunRequest run = {0, 16};
-  const Status st = pool_->FetchRunsAsync(
+  const Status st = pool_->FetchRuns(
       &run, 1, [&](size_t, Status s, std::vector<PageGuard>* guards) {
         ASSERT_TRUE(s.ok()) << s.ToString();
         ASSERT_EQ(guards->size(), 16u);
@@ -215,31 +215,6 @@ TEST_P(AsyncIoTest, SimulatedLatencyOverlapsReads) {
   EXPECT_EQ(as.requests, 16) << "latency > 0 must slice per page";
   EXPECT_GE(as.inflight_hwm, 4) << "sliced reads never overlapped";
   disk_->set_simulated_read_latency_micros(0);
-}
-
-// Prefetched pages install at low priority, count as prefetch_reads
-// (not disk_reads), and a later demand fetch converts them to hits.
-TEST_P(AsyncIoTest, PrefetchInstallsThenHits) {
-  ASSERT_TRUE(pool_->FlushAll().ok());
-  pool_->ResetStats();
-  pool_->Prefetch(4, 4);
-  pool_->DrainPrefetch();
-  IoStats io = pool_->stats();
-  EXPECT_EQ(io.prefetch_reads, 4);
-  EXPECT_EQ(io.disk_reads, 0) << "speculative reads are not demand reads";
-  EXPECT_EQ(io.prefetch_hits, 0);
-  for (PageId id = 4; id < 8; ++id) {
-    auto g = pool_->Fetch(id);
-    ASSERT_TRUE(g.ok()) << g.status().ToString();
-    ExpectPageBytes(g.value());
-  }
-  io = pool_->stats();
-  EXPECT_EQ(io.prefetch_hits, 4);
-  EXPECT_EQ(io.disk_reads, 0) << "hits must absorb the demand fetch";
-  // A second Prefetch of resident pages is a no-op, not waste.
-  pool_->Prefetch(4, 4);
-  pool_->DrainPrefetch();
-  EXPECT_EQ(pool_->stats().prefetch_reads, 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, AsyncIoTest,
@@ -274,12 +249,12 @@ class AsyncFaultTest : public ::testing::TestWithParam<const char*> {
   }
 
   // Fetches pages [0, 64) as 8-page runs; returns the per-run statuses
-  // in run order and asserts FetchRunsAsync itself stayed OK.
+  // in run order and asserts FetchRuns itself stayed OK.
   std::vector<Status> FetchAll() {
     std::vector<BufferPool::RunRequest> runs;
     for (PageId first = 0; first < 64; first += 8) runs.push_back({first, 8});
     std::vector<Status> out(runs.size());
-    const Status st = env_->pool().FetchRunsAsync(
+    const Status st = env_->pool().FetchRuns(
         runs.data(), runs.size(),
         [&](size_t ri, Status s, std::vector<PageGuard>* guards) {
           if (s.ok()) {
@@ -381,9 +356,9 @@ INSTANTIATE_TEST_SUITE_P(Backends, AsyncFaultTest,
 
 // ---- end-to-end geometry identity ----------------------------------
 
-// The acceptance bar of DESIGN.md §13: a query answered through
-// batched async reads and cut-aware prefetch returns byte-identical
-// geometry to the synchronous path, in the same order.
+// The acceptance bar of DESIGN.md §13: a query answered through an
+// async device returns byte-identical geometry to the same read path
+// without one, in the same order, and reads exactly as many pages.
 class AsyncQueryTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
@@ -423,7 +398,7 @@ TEST_P(AsyncQueryTest, GeometryIdenticalToSerialPath) {
       {Roi(0.4, 0.4, 0.6, 0.6), e_max * 0.05},
   };
 
-  // Reference pass: async off (the seed read path).
+  // Reference pass: async off (FetchRuns reads run by run in order).
   env_->DisableAsync();
   std::vector<DmQueryResult> want;
   {
@@ -436,15 +411,16 @@ TEST_P(AsyncQueryTest, GeometryIdenticalToSerialPath) {
     }
   }
 
-  // Async pass, cold cache, prefetch on: identical bytes, same order.
+  // Async pass, cold cache: identical bytes, same order, same reads.
   ASSERT_STREQ(env_->EnableAsync(GetParam()), GetParam());
-  env_->set_prefetch_depth(4);
   DmQueryProcessor proc(store_.get());
   for (size_t i = 0; i < cases.size(); ++i) {
     ASSERT_TRUE(env_->FlushAll().ok());
     auto r = proc.ViewpointIndependent(cases[i].roi, cases[i].e);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     const DmQueryResult& got = r.value();
+    EXPECT_EQ(got.stats.disk_accesses, want[i].stats.disk_accesses)
+        << "case " << i;
     ASSERT_EQ(got.vertices.size(), want[i].vertices.size());
     EXPECT_TRUE(got.vertices == want[i].vertices) << "case " << i;
     ASSERT_EQ(got.positions.size(), want[i].positions.size());

@@ -107,7 +107,7 @@ int Usage() {
       "  dmctl cache-stats --db BASE [--cache-mb MB] [--queries N] "
       "[--roi-pct P] [--seed S] [--read-latency-us N]\n"
       "  dmctl io-stats --db BASE [--backend off|auto|uring|threadpool] "
-      "[--prefetch-depth N] [--queries N] [--roi-pct P] [--seed S] "
+      "[--queries N] [--roi-pct P] [--seed S] "
       "[--read-latency-us N]\n");
   return 2;
 }
@@ -835,8 +835,8 @@ Status RunCacheStats(const Args& args) {
 }
 
 // Replays a deterministic query batch twice (cold, warm) and reports
-// the buffer-pool I/O counters plus the async-device and prefetch
-// counters from DESIGN.md §13 — the async analogue of cache-stats.
+// the buffer-pool I/O counters plus the async-device counters from
+// DESIGN.md §13 — the async analogue of cache-stats.
 // --backend defaults to "auto" so the command shows what the async
 // read path actually does on this kernel; --backend off reproduces
 // the synchronous seed numbers for comparison.
@@ -846,8 +846,6 @@ Status RunIoStats(const Args& args) {
       static_cast<uint32_t>(args.GetInt("read-latency-us", 0)));
   const std::string backend = args.Get("backend", "auto");
   const char* actual = db.env->EnableAsync(backend);
-  db.env->set_prefetch_depth(
-      static_cast<uint32_t>(args.GetInt("prefetch-depth", 8)));
   std::printf("async backend: requested=%s running=%s\n", backend.c_str(),
               actual);
   // Open() itself faulted the catalog and index extents in; empty the
@@ -882,21 +880,10 @@ Status RunIoStats(const Args& args) {
         static_cast<long long>(io.disk_reads - prev_io.disk_reads),
         static_cast<long long>(io.evictions - prev_io.evictions),
         static_cast<long long>(io.io_retries - prev_io.io_retries));
-    const int64_t pf_reads = io.prefetch_reads - prev_io.prefetch_reads;
-    const int64_t pf_hits = io.prefetch_hits - prev_io.prefetch_hits;
-    const double pf_rate =
-        pf_reads > 0 ? 100.0 * static_cast<double>(pf_hits) /
-                           static_cast<double>(pf_reads)
-                     : 0.0;
-    std::printf(
-        "  prefetch:    reads=%lld hits=%lld (%.1f%% useful) waste=%lld\n",
-        static_cast<long long>(pf_reads), static_cast<long long>(pf_hits),
-        pf_rate,
-        static_cast<long long>(io.prefetch_waste - prev_io.prefetch_waste));
     const int64_t runs = io.fetch_runs - prev_io.fetch_runs;
     const int64_t run_pages = io.fetch_run_pages - prev_io.fetch_run_pages;
     std::printf(
-        "  heap runs:   runs=%lld pages=%lld (%.2f pages/run) "
+        "  page runs:   runs=%lld pages=%lld (%.2f pages/run) "
         "lengths 1|2|3-4|5-8|9-16|17+ =",
         static_cast<long long>(runs), static_cast<long long>(run_pages),
         runs > 0 ? static_cast<double>(run_pages) / static_cast<double>(runs)
